@@ -21,99 +21,27 @@ leaseBound(Cycles bound)
 void
 ThreadContext::syncSlow()
 {
-    Scheduler& s = *scheduler_;
-    if (s.perturber_ != nullptr) {
-        // Preemption point: a registered perturber may push this
-        // thread's clock forward, letting another thread's events
-        // overtake. Exactly one draw per scheduling point — the yield
-        // below does not draw again (schedule format v2).
-        now_ += s.perturber_->preemptDelay(id_, now_);
-        if (s.minRunnableTime(id_) < now_)
-            s.yieldFrom(id_);
-        return;
-    }
-    // One scan resolves the whole scheduling point: the earliest other
-    // runnable thread is the yield target (this thread is not on the
-    // runnable list while it runs) and the runner-up time is the
-    // target's dispatch lease. The scan walks the dense runnable list,
-    // so its cost is O(runnable) however many threads exist.
-    const Scheduler::SlotRec* slots = s.slots_.data();
-    unsigned best = Scheduler::kNone;
-    Cycles best_time = Scheduler::never;
-    std::uint64_t best_order = 0;
-    Cycles second = Scheduler::never;
-    for (const unsigned tid : s.runnable_) {
-        const Scheduler::SlotRec& slot = slots[tid];
-        if (best == Scheduler::kNone || slot.time < best_time ||
-            (slot.time == best_time && slot.order < best_order)) {
-            if (best != Scheduler::kNone)
-                second = std::min(second, best_time);
-            best = tid;
-            best_time = slot.time;
-            best_order = slot.order;
-        } else {
-            second = std::min(second, slot.time);
-        }
-    }
-    // Both exits renew a lease inline; with no perturber registered,
-    // only the batching flag gates it (renewLease without the
-    // perturber branch).
-    if (best_time >= now_) {
-        // No-op scheduling point past the lease (nobody is strictly
-        // behind — `never` when nobody is runnable at all): renew it.
-        // Other threads cannot have moved since dispatch, but the
-        // lease is also bounded by the epoch budget, which may simply
-        // have expired.
-        s.slots_[id_].leaseEnd =
-            s.batching_
-                ? leaseBound(std::min(best_time, now_ + s.epochCycles_))
-                : 0;
-        return;
-    }
-    // Yield: the re-enqueued self is stamped later than every waiting
-    // thread, so it loses all ties — `best` is exactly the thread the
-    // run-queue scan would pick, and the runner-up lease is the
-    // remaining minimum including self. Dispatch is fused in, and the
-    // Thread records stay untouched: the state field only needs to
-    // distinguish blocked (wake()) and finished (run()/deadlock), both
-    // maintained on their own paths, and the target's clock equals its
-    // parked slot time, so the lease cap needs no pointer chase.
-    s.enqueue(id_, now_);
-    s.dequeue(best); // leave the run queue while running
-    s.runningTid_ = best;
-    s.slots_[best].leaseEnd =
-        s.batching_
-            ? leaseBound(std::min(std::min(second, now_),
-                                  best_time + s.epochCycles_))
-            : 0;
-    s.ensureStack(best);
-    Fiber::switchTo(*s.threads_[best]->fiber);
+    scheduler_->reschedule(*this, false);
 }
 
 void
 ThreadContext::yieldNow()
 {
-    Scheduler& s = *scheduler_;
-    if (s.perturber_ != nullptr)
-        now_ += s.perturber_->preemptDelay(id_, now_);
-    s.yieldFrom(id_);
+    scheduler_->reschedule(*this, true);
 }
 
 void
 ThreadContext::block()
 {
     Scheduler& s = *scheduler_;
-    auto& thread = *s.threads_[id_];
-    thread.state = Scheduler::State::blocked;
-    Cycles min_other;
-    const unsigned next = s.pickNext(&min_other);
-    if (next == Scheduler::kNone) {
+    s.threads_[id_]->state = Scheduler::State::blocked;
+    if (s.queue_.empty()) {
         // Nothing runnable: return to the owner loop, which declares
         // deadlock (or finishes the run if everyone is done).
         Fiber::yieldToOwner();
         return;
     }
-    s.dispatch(next, min_other);
+    const unsigned next = s.dispatchRoot();
     Fiber::switchTo(*s.threads_[next]->fiber);
 }
 
@@ -182,12 +110,8 @@ Scheduler::run()
 {
     provisionStacks();
     running_ = true;
-    for (;;) {
-        Cycles min_other;
-        const unsigned next = pickNext(&min_other);
-        if (next == kNone)
-            break;
-        dispatch(next, min_other);
+    while (!queue_.empty()) {
+        const unsigned next = dispatchRoot();
         threads_[next]->fiber->resume();
         // Control is back at the owner: the fiber that ran last (not
         // necessarily `next` — threads switch among themselves)
@@ -254,51 +178,71 @@ Scheduler::totalThreadTime() const
     return result;
 }
 
-bool
-Scheduler::othersPending(unsigned tid) const
+void
+Scheduler::reschedule(ThreadContext& self, bool yield_ties)
 {
-    for (const auto& thread : threads_) {
-        if (thread->context.id() != tid &&
-            thread->state != State::finished) {
-            return true;
-        }
+    if (perturber_ != nullptr) {
+        // Preemption point: a registered perturber may push this
+        // thread's clock forward, letting another thread's events
+        // overtake. Exactly one draw per scheduling point (schedule
+        // format v2).
+        self.now_ += perturber_->preemptDelay(self.id_, self.now_);
     }
-    return false;
-}
-
-unsigned
-Scheduler::pickNext(Cycles* min_other) const
-{
-    unsigned best = kNone;
-    Cycles best_time = 0;
-    std::uint64_t best_order = 0;
-    Cycles second = never;
-    for (const unsigned tid : runnable_) {
-        const SlotRec& slot = slots_[tid];
-        if (best == kNone || slot.time < best_time ||
-            (slot.time == best_time && slot.order < best_order)) {
-            if (best != kNone)
-                second = std::min(second, best_time);
-            best = tid;
-            best_time = slot.time;
-            best_order = slot.order;
-        } else {
-            second = std::min(second, slot.time);
-        }
+    const Cycles now = self.now_;
+    const Cycles head = minQueuedTime();
+    if (head > now || (head == now && !yield_ties)) {
+        // No-op scheduling point (nobody is strictly behind; `never`
+        // when nobody is runnable at all): renew the lease. Other
+        // threads cannot have moved since dispatch, but the lease is
+        // also bounded by the epoch budget, which may have expired.
+        grantLease(self.id_, now);
+        return;
     }
-    *min_other = second;
-    return best;
+    // Switch to the root: self takes its place in one sift-down. Self's
+    // fresh stamp loses every tie, and the new root — the smallest key
+    // among the threads the dispatched one leaves behind — bounds its
+    // lease.
+    const unsigned next = queue_[0];
+    slots_[next].pos = kNone;
+    SlotRec& slot = slots_[self.id_];
+    slot.time = now;
+    slot.order = orderCounter_++;
+    siftDownFromRoot(self.id_);
+    dispatch(next, slots_[next].time);
+    Fiber::switchTo(*threads_[next]->fiber);
 }
 
 void
-Scheduler::dispatch(unsigned tid, Cycles min_other)
+Scheduler::grantLease(unsigned tid, Cycles now)
 {
-    Thread& thread = *threads_[tid];
-    thread.state = State::running;
-    dequeue(tid); // leave the run queue while running
+    // The smallest other runnable clock cannot move while this thread
+    // runs (wake() shrinks the lease itself), so every point before it
+    // is a no-op. A perturber must see every point: no lease then.
+    slots_[tid].leaseEnd =
+        batching_ && perturber_ == nullptr
+            ? leaseBound(std::min(minQueuedTime(), now + epochCycles_))
+            : 0;
+}
+
+void
+Scheduler::dispatch(unsigned tid, Cycles now)
+{
     runningTid_ = tid;
-    renewLease(tid, min_other);
+    grantLease(tid, now);
     ensureStack(tid);
+}
+
+unsigned
+Scheduler::dispatchRoot()
+{
+    const unsigned root = queue_[0];
+    slots_[root].pos = kNone;
+    const unsigned last = queue_.back();
+    queue_.pop_back();
+    if (!queue_.empty())
+        siftDownFromRoot(last);
+    dispatch(root, slots_[root].time);
+    return root;
 }
 
 void
@@ -308,59 +252,47 @@ Scheduler::enqueue(unsigned tid, Cycles time)
     assert(slot.pos == kNone && "enqueue() of an already-queued thread");
     slot.time = time;
     slot.order = orderCounter_++;
-    slot.pos = unsigned(runnable_.size());
-    runnable_.push_back(tid);
-}
-
-void
-Scheduler::dequeue(unsigned tid)
-{
-    SlotRec& slot = slots_[tid];
-    assert(slot.pos != kNone && "dequeue() of an unqueued thread");
-    const unsigned moved = runnable_.back();
-    runnable_[slot.pos] = moved;
-    slots_[moved].pos = slot.pos;
-    runnable_.pop_back();
-    slot.time = never;
-    slot.pos = kNone;
-}
-
-void
-Scheduler::renewLease(unsigned tid, Cycles min_other)
-{
-    SlotRec& slot = slots_[tid];
-    if (!batching_ || perturber_ != nullptr) {
-        slot.leaseEnd = 0;
-        return;
+    // The fresh stamp loses every tie: climb past strictly later
+    // parents only.
+    auto hole = unsigned(queue_.size());
+    queue_.push_back(tid);
+    while (hole > 0) {
+        const unsigned parent = (hole - 1) / 2;
+        const unsigned above = queue_[parent];
+        if (slots_[above].time <= time)
+            break;
+        queue_[hole] = above;
+        slots_[above].pos = hole;
+        hole = parent;
     }
-    const Cycles cap = threads_[tid]->context.now_ + epochCycles_;
-    slot.leaseEnd = leaseBound(std::min(min_other, cap));
+    queue_[hole] = tid;
+    slot.pos = hole;
 }
 
 void
-Scheduler::yieldFrom(unsigned tid)
+Scheduler::siftDownFromRoot(unsigned tid)
 {
-    Thread& self = *threads_[tid];
-    enqueue(tid, self.context.now_);
-    self.state = State::runnable;
-    Cycles min_other;
-    const unsigned next = pickNext(&min_other);
-    assert(next != kNone && "yieldFrom with an empty run queue");
-    dispatch(next, min_other);
-    if (next == tid)
-        return; // Still the earliest: the switch would be a no-op.
-    Fiber::switchTo(*threads_[next]->fiber);
-}
-
-Cycles
-Scheduler::minRunnableTime(unsigned excluding) const
-{
-    Cycles min = never;
-    for (const unsigned tid : runnable_) {
-        if (tid != excluding)
-            min = std::min(min, slots_[tid].time);
+    // The key is read once: the pos stores below alias slots_.
+    const Cycles time = slots_[tid].time;
+    const std::uint64_t order = slots_[tid].order;
+    const auto size = unsigned(queue_.size());
+    unsigned hole = 0;
+    for (;;) {
+        unsigned child = 2 * hole + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size && before(queue_[child + 1], queue_[child]))
+            ++child;
+        const unsigned below = queue_[child];
+        const SlotRec& next = slots_[below];
+        if (next.time > time || (next.time == time && next.order > order))
+            break;
+        queue_[hole] = below;
+        slots_[below].pos = hole;
+        hole = child;
     }
-    return min;
+    queue_[hole] = tid;
+    slots_[tid].pos = hole;
 }
 
 } // namespace htmsim::sim

@@ -302,18 +302,12 @@ class Scheduler
         return defaultStackPolicy_;
     }
 
-    /**
-     * True if any thread other than @p tid could still run or wake up.
-     * Used by spin loops to detect true deadlock early.
-     */
-    bool othersPending(unsigned tid) const;
-
   private:
     friend class ThreadContext;
 
     static constexpr unsigned kNone = ~0u;
 
-    enum class State { runnable, running, blocked, finished };
+    enum class State { runnable, blocked, finished };
 
     struct Thread
     {
@@ -323,25 +317,28 @@ class Scheduler
         Cycles finishTime = 0;
     };
 
-    /** Sentinel parking a slot outside the run queue (also "no other
-     *  runnable thread" in lease math). Real clocks never reach it. */
+    /** "No other runnable thread" in lease math. Real clocks never
+     *  reach it. */
     static constexpr Cycles never = ~Cycles(0);
 
     /**
      * Per-thread scheduling record, indexed by tid. (time, order) is
-     * the run-queue key while the thread is runnable — order is a
-     * global enqueue stamp, so ties resolve in enqueue (FIFO) order
-     * exactly as the former binary-heap queue did. A slot whose time
-     * is `never` is not runnable (running, blocked, or finished).
-     * Runnable tids additionally sit in the dense runnable_ list (pos
-     * is their index there), which is what the scheduling scans walk —
-     * their cost is O(runnable), not O(max-tid), so hundreds of
-     * mostly-blocked or finished fibers don't tax every scheduling
-     * point. Scan order over the list is arbitrary, but the (time,
-     * order) key is unique per thread, so the pick is order-independent
-     * and bit-identical to the full-array scan. leaseEnd is the sync()
-     * fast-path bound of the running thread: scheduling points with
-     * now < leaseEnd are provably no-ops.
+     * the run-queue key while the thread is queued: order is a global
+     * enqueue stamp, so the key is unique and ties resolve in enqueue
+     * (FIFO) order — a re-enqueued thread is stamped later than every
+     * waiting thread and loses all ties. pos is the thread's index in
+     * the heap (kNone while running, blocked or finished). Threads
+     * leave the heap only at the root, so pos is read only by
+     * enqueue()'s double-enqueue assertion. leaseEnd is
+     * the sync() fast-path bound of the running thread: scheduling
+     * points with now < leaseEnd are provably no-ops. A queued thread's
+     * clock equals its slot time (nothing advances a frozen clock), so
+     * dispatch never reads the Thread record for it.
+     *
+     * Until simulated addresses stop depending on the host heap, the
+     * element sizes of slots_ (32 bytes) and queue_ (4 bytes) are part
+     * of every simulated result: their growth allocations at spawn()
+     * place everything allocated after them (DESIGN.md Section 5b).
      */
     struct SlotRec
     {
@@ -351,31 +348,48 @@ class Scheduler
         unsigned pos;
     };
 
+    /** Run-queue order of queued threads @p a and @p b. */
+    bool
+    before(unsigned a, unsigned b) const
+    {
+        const SlotRec& x = slots_[a];
+        const SlotRec& y = slots_[b];
+        return x.time < y.time || (x.time == y.time && x.order < y.order);
+    }
+
+    /** Smallest queued clock, or `never`: the earliest other runnable
+     *  thread's clock from the running thread's point of view. */
+    Cycles
+    minQueuedTime() const
+    {
+        return queue_.empty() ? never : slots_[queue_[0]].time;
+    }
+
     /**
-     * Earliest runnable thread by (time, order), or kNone.
-     * @p min_other receives the smallest slot time among the other
-     * runnable threads (the picked thread's lease bound).
+     * Scheduling point of the running thread @p self: consult the
+     * perturber, then switch to the run-queue root if it is strictly
+     * behind self (or level with it when @p yield_ties — an explicit
+     * yield lets equal clocks go first); otherwise renew self's lease.
      */
-    unsigned pickNext(Cycles* min_other) const;
+    void reschedule(ThreadContext& self, bool yield_ties);
 
-    /** Mark @p tid running and compute its dispatch lease. */
-    void dispatch(unsigned tid, Cycles min_other);
+    /** Set the sync() fast-path bound of the running thread @p tid,
+     *  whose clock is @p now. */
+    void grantLease(unsigned tid, Cycles now);
 
-    /** Renew the running thread's lease at a no-op scheduling point. */
-    void renewLease(unsigned tid, Cycles min_other);
+    /** Make @p tid (clock @p now) the running thread and grant its
+     *  lease. */
+    void dispatch(unsigned tid, Cycles now);
 
-    /** Re-enqueue the running thread and switch to the earliest
-     *  runnable thread (possibly itself — then no switch happens). */
-    void yieldFrom(unsigned tid);
-
-    /** Smallest slot time over runnable threads other than @p tid. */
-    Cycles minRunnableTime(unsigned excluding) const;
+    /** Remove the run-queue root and dispatch it. @return its tid. */
+    unsigned dispatchRoot();
 
     /** Put @p tid on the run queue at @p time (fresh order stamp). */
     void enqueue(unsigned tid, Cycles time);
 
-    /** Take @p tid off the run queue (running/blocked/finished). */
-    void dequeue(unsigned tid);
+    /** Fill the root hole with @p tid (key already set) and restore
+     *  heap order. */
+    void siftDownFromRoot(unsigned tid);
 
     /** Reserve this run's contiguous pool slot range; under the eager
      *  policy also commit and attach every fiber's stack now. */
@@ -395,7 +409,9 @@ class Scheduler
     unsigned rangeBase_ = kNone;
     std::vector<std::unique_ptr<Thread>> threads_;
     std::vector<SlotRec> slots_;
-    std::vector<unsigned> runnable_;
+    /** The run queue: a binary min-heap of tids by slot (time, order)
+     *  holding every runnable thread except the running one. */
+    std::vector<unsigned> queue_;
     unsigned runningTid_ = 0;
     bool running_ = false;
 

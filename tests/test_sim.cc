@@ -254,6 +254,106 @@ TEST(Scheduler, PerturberPointIndicesMatchBatchedAndUnbatched)
     EXPECT_EQ(run_once(true), run_once(false));
 }
 
+namespace
+{
+/// FNV-1a over a (tid, clock) log. Scheduler-only runs touch no host
+/// addresses, so the digest is the same for every build.
+std::uint64_t
+hashLog(const std::vector<std::pair<unsigned, Cycles>>& log)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    for (const auto& [tid, now] : log) {
+        mix(tid);
+        mix(now);
+    }
+    return hash;
+}
+
+/**
+ * 256 threads over four rounds. Every round mixes unequal step()s,
+ * tie-heavy spinUntil() polling on a shared flag (a quarter of the
+ * threads poll at a common 30-cycle cost from barrier-aligned clocks),
+ * and a Barrier that blocks 255 threads and wakes them at one time.
+ * Returns the (tid, clock) log of every event, each poll included, so
+ * the order among equal clocks is visible.
+ */
+std::vector<std::pair<unsigned, Cycles>>
+runRunQueueAtScale(bool batch, SchedulePerturber* perturber)
+{
+    constexpr unsigned kThreads = 256;
+    constexpr unsigned kRounds = 4;
+    std::vector<std::pair<unsigned, Cycles>> log;
+    Scheduler scheduler(11);
+    scheduler.setBatching(batch);
+    Barrier barrier(kThreads);
+    unsigned released = 0;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        scheduler.spawn([&](ThreadContext& ctx) {
+            const unsigned tid = ctx.id();
+            for (unsigned round = 0; round < kRounds; ++round) {
+                // Pollers start level with each other, so their polls
+                // tie in lockstep.
+                if (tid % 4 != 1)
+                    ctx.step(1 + ctx.rng().nextRange(200));
+                log.push_back({tid, ctx.now()});
+                if (tid == 0) {
+                    ctx.step(5000);
+                    released = round + 1;
+                } else if (tid % 4 == 1) {
+                    ctx.spinUntil(
+                        [&] {
+                            log.push_back({tid, ctx.now()});
+                            return released > round;
+                        },
+                        30);
+                } else {
+                    for (unsigned k = 0; k < 1 + tid % 5; ++k)
+                        ctx.step(1 + ctx.rng().nextRange(64 << (tid % 3)));
+                }
+                log.push_back({tid, ctx.now()});
+                barrier.arrive(ctx);
+                log.push_back({tid, ctx.now()});
+            }
+        });
+    }
+    scheduler.setPerturber(perturber);
+    scheduler.run();
+    scheduler.setPerturber(nullptr);
+    return log;
+}
+} // namespace
+
+TEST(Scheduler, RunQueueOrderAtScalePinned)
+{
+    // The pinned digests were produced by the former linear-scan run
+    // queue; any change in pick order, tie-breaking or lease bounds at
+    // 256 threads moves them.
+    constexpr std::uint64_t kPlainDigest = 8858808939153262542ull;
+    constexpr std::uint64_t kPerturbedDigest = 1624130108577901110ull;
+    constexpr std::uint64_t kPointsDigest = 13021766241715652272ull;
+
+    const auto batched = runRunQueueAtScale(true, nullptr);
+    ASSERT_GT(batched.size(), 256u * 4u * 3u);
+    EXPECT_EQ(batched, runRunQueueAtScale(false, nullptr));
+    EXPECT_EQ(hashLog(batched), kPlainDigest);
+
+    // With a perturber registered, every point is a forced slow path
+    // that compares against the earliest queued clock.
+    RecordingPerturber batched_perturber(true);
+    RecordingPerturber unbatched_perturber(true);
+    const auto perturbed = runRunQueueAtScale(true, &batched_perturber);
+    EXPECT_EQ(perturbed, runRunQueueAtScale(false, &unbatched_perturber));
+    EXPECT_EQ(batched_perturber.points, unbatched_perturber.points);
+    EXPECT_EQ(hashLog(perturbed), kPerturbedDigest);
+    EXPECT_EQ(hashLog(batched_perturber.points), kPointsDigest);
+}
+
 TEST(Rng, DeterministicStreams)
 {
     Rng a(7, 0), b(7, 0), c(7, 1);
