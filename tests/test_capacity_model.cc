@@ -65,6 +65,15 @@ struct CombinedCase
     std::uint32_t budgetLines;
 };
 
+/** Print a case by its machine name. Without this, gtest dumps the
+ *  raw bytes, which hold pointers and padding, so the listed test
+ *  names would change from one run to the next. */
+void
+PrintTo(const CombinedCase& test, std::ostream* os)
+{
+    *os << test.name;
+}
+
 class CombinedBoundary
     : public ::testing::TestWithParam<CombinedCase>
 {
@@ -126,6 +135,13 @@ struct SplitCase
     std::uint32_t loadLines;
     std::uint32_t storeLines;
 };
+
+/** Print a case by its machine name, as for CombinedCase. */
+void
+PrintTo(const SplitCase& test, std::ostream* os)
+{
+    *os << test.name;
+}
 
 class SplitBoundary : public ::testing::TestWithParam<SplitCase>
 {
