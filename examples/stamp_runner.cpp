@@ -38,8 +38,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 
 #include "../bench/suite.hh"
+#include "htm/backend.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
 
@@ -129,21 +131,15 @@ main(int argc, char** argv)
     const std::string& backend_name = positional[3];
     const std::string& policy_name = positional[4];
 
-    htm::BackendKind backend;
-    if (backend_name == "htm") {
-        backend = htm::BackendKind::htm;
-    } else if (backend_name == "lock") {
-        backend = htm::BackendKind::globalLock;
-    } else if (backend_name == "ideal") {
-        backend = htm::BackendKind::idealHtm;
-    } else if (backend_name == "hybrid") {
-        backend = htm::BackendKind::hybrid;
-    } else {
+    const std::optional<htm::BackendKind> parsed =
+        htm::parseBackendKind(backend_name);
+    if (!parsed) {
         std::fprintf(stderr, "unknown backend '%s'\n",
                      backend_name.c_str());
         usage();
         return 1;
     }
+    const htm::BackendKind backend = *parsed;
 
     htm::RetryPolicyKind policy_kind;
     if (policy_name == "default") {

@@ -20,12 +20,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "check/liveness.hh"
 #include "check/oracle.hh"
 #include "check/shrink.hh"
+#include "htm/backend.hh"
 #include "htm/machine.hh"
 
 namespace
@@ -310,16 +312,16 @@ main(int argc, char** argv)
             }
         } else if (flag == "--backend") {
             const std::string backend = next();
-            if (backend == "htm") {
-                args.options.backend = htm::BackendKind::htm;
-            } else if (backend == "hybrid") {
-                args.options.backend = htm::BackendKind::hybrid;
-            } else {
+            const std::optional<htm::BackendKind> parsed =
+                htm::parseBackendKind(backend);
+            if (parsed != htm::BackendKind::htm &&
+                parsed != htm::BackendKind::hybrid) {
                 std::fprintf(stderr,
                              "unknown backend '%s' (htm | hybrid)\n",
                              backend.c_str());
                 return 2;
             }
+            args.options.backend = *parsed;
         } else if (flag == "--subscription") {
             const std::string mode = next();
             if (mode == "eager") {

@@ -354,16 +354,17 @@ class HardenedRetryPolicy final : public RetryPolicy
 };
 
 /**
- * Decision layer of the hybrid backend (backend.hh HybridBackend):
- * wraps a thread's base RetryPolicy and turns its binary retry/stop
- * output into a three-way decision — retry in hardware, fall back to
- * the *software* slow path, or (only when the software path is
- * exhausted or disabled) serialize on the global lock.
+ * Decision layer of the retry driver (Runtime::runSection), bound
+ * for every speculative backend: wraps a thread's base RetryPolicy and
+ * turns its binary retry/stop output into a three-way decision — retry
+ * in hardware, fall back to the *software* slow path, or (only when
+ * the software path is exhausted or disabled) serialize on the global
+ * lock.
  *
  * Decision rules:
- *  - software path disabled: mirror the base policy exactly
- *    (retryHtm while it says retry, then fallbackLock) — the hybrid
- *    backend degenerates to HtmBackend;
+ *  - software path disabled (every backend but an enabled hybrid):
+ *    mirror the base policy exactly (retryHtm while it says retry,
+ *    then fallbackLock) — the plain Figure 1 driver;
  *  - persistent abort causes (capacity, way conflict): straight to
  *    fallbackStm *without* consuming base-policy budget — retrying a
  *    too-big transaction in hardware is the waste the hybrid exists
@@ -399,7 +400,7 @@ class HybridRetryPolicy
 
     HybridRetryPolicy() = default;
 
-    /** Bind the thread's base policy (owned by the backend). */
+    /** Bind the thread's base policy (owned by the Runtime). */
     void
     bind(RetryPolicy* base, Tuning tuning)
     {

@@ -96,7 +96,19 @@ Runtime::Runtime(RuntimeConfig config, unsigned num_threads)
 
     capacityModel_ =
         makeCapacityModel(machine, config_.ignoreCapacity || ideal);
-    backend_ = makeBackend(config_, num_threads);
+    if (config_.backend != BackendKind::globalLock) {
+        // Bound with the resolved stmEnabled_: for every backend but
+        // hybrid the wrapper mirrors the base policy exactly.
+        const HybridRetryPolicy::Tuning tuning{stmEnabled_,
+                                               config_.hybrid.stmOnly,
+                                               config_.hybrid.stmAttempts};
+        policies_.reserve(num_threads);
+        for (unsigned tid = 0; tid < num_threads; ++tid)
+            policies_.push_back(makeRetryPolicy(config_));
+        hybrids_.resize(num_threads);
+        for (unsigned tid = 0; tid < num_threads; ++tid)
+            hybrids_[tid].bind(policies_[tid].get(), tuning);
+    }
     observer_ = config_.observer;
     hazard_.reset(config_.hazard, num_threads);
     // The orec table is only materialized when the software path is
@@ -570,6 +582,80 @@ Runtime::runIrrevocable(sim::ThreadContext& ctx, Tx& tx,
     // guard above still restores the Tx status for the unwind.
     releaseGlobalLock(ctx);
     stats_[tx.tid_].fallbackCycles += ctx.now() - hold_start;
+}
+
+void
+Runtime::runSection(sim::ThreadContext& ctx, FunctionRef<void(Tx&)> body)
+{
+    Tx& tx = *txs_[ctx.id()];
+    if (config_.backend == BackendKind::globalLock) {
+        runIrrevocable(ctx, tx, body);
+        return;
+    }
+
+    // Which counters exist, how lock conflicts are classified and
+    // whether the lock is subscribed lazily all live in the policy.
+    HybridRetryPolicy& policy = hybrids_[ctx.id()];
+    const bool lazy = policy.lazySubscription();
+    const bool det_jitter = policy.deterministicBackoff();
+    policy.beginSection();
+
+    unsigned consecutive = 0;
+    bool software = policy.softwareFirst();
+    for (;;) {
+        // Lemming-storm guard (Figure 1 line 9): re-check the lock
+        // before every re-entry, not just the first — waitToBegin
+        // spins until the fallback lock is free, so a convoy drains
+        // instead of feeding itself doomed attempts. A software
+        // attempt started behind a held lock would only abort at its
+        // commit point (stm.cc), so it waits too.
+        waitToBegin(ctx);
+
+        if (!software) {
+            const AbortCause cause = attempt(tx, ctx, body, lazy, true);
+            if (cause == AbortCause::none) {
+                policy.onCommit();
+                return;
+            }
+            ++consecutive;
+            auto decision = policy.onHtmAbort(cause, lockWord_ != 0);
+            // stuckRetry (simcheck self-tests only): model the classic
+            // driver bug of ignoring the policy's stop decision — no
+            // fallback is ever taken, so a persistently aborting
+            // section livelocks. The liveness oracle must catch this.
+            if (decision == HybridRetryPolicy::Decision::fallbackLock &&
+                config_.checkFault == CheckFault::stuckRetry)
+                decision = HybridRetryPolicy::Decision::retryHtm;
+            if (decision == HybridRetryPolicy::Decision::retryHtm) {
+                backoff(ctx, consecutive, det_jitter);
+                continue;
+            }
+            if (decision == HybridRetryPolicy::Decision::fallbackStm) {
+                software = true;
+                continue;
+            }
+            break; // fallbackLock
+        }
+
+        // The hybrid tier: a software transaction concurrent with
+        // everyone else's hardware attempts; only exhausted software
+        // sections serialize on the global lock.
+        const AbortCause cause = stmAttempt(tx, ctx, body);
+        if (cause == AbortCause::none) {
+            policy.onCommit();
+            return;
+        }
+        ++consecutive;
+        if (policy.onStmAbort(cause) ==
+            HybridRetryPolicy::Decision::fallbackStm) {
+            backoff(ctx, consecutive, det_jitter);
+            continue;
+        }
+        break; // fallbackLock
+    }
+
+    runIrrevocable(ctx, tx, body);
+    policy.onFallback();
 }
 
 AbortCause

@@ -4,19 +4,20 @@
  *
  *   RetryPolicy (retry_policy.hh)  — when to retry after an abort;
  *   CapacityModel (capacity_model.hh) — per-machine footprint budgets;
- *   TmBackend (backend.hh)         — what an atomic section *is*
- *                                    (HTM / global lock / ideal HTM);
  *   Runtime (this file)            — the machine substrate: conflict
  *                                    directory, begin/commit/rollback,
- *                                    global-lock fallback, statistics.
+ *                                    global-lock fallback, statistics;
  *
- * One Runtime instance models one machine for one multi-threaded run.
- * Application threads (simulated threads) call atomic() to execute a
- * critical section; the configured backend drives the attempts — the
+ * plus one retry driver, Runtime::runSection, that executes atomic()
+ * as the configured backend (backend.hh) says: irrevocably under the
+ * global lock, or hardware attempts (and, for the hybrid backend,
+ * software attempts) through each thread's HybridRetryPolicy — the
  * paper's Figure 1 retry mechanism (three counters: lock / persistent
  * / transient) on zEC12, Intel Core and POWER8, and the
  * system-provided single-counter mechanism with adaptation on
  * Blue Gene/Q.
+ *
+ * One Runtime instance models one machine for one multi-threaded run.
  */
 
 #ifndef HTMSIM_HTM_RUNTIME_HH
@@ -154,10 +155,10 @@ enum class CheckFault : std::uint8_t
      *  concurrent readers of its line, so a reader can commit a stale
      *  snapshot (lost updates — a serializability violation). */
     missReaderConflict,
-    /** Retry-driver bug: the HTM backend ignores the policy's stop
-     *  decision and never falls back to the lock, so a thread whose
-     *  attempts keep aborting retries forever (a liveness violation
-     *  the liveness oracle must catch). */
+    /** Retry-driver bug: the driver ignores the policy's stop
+     *  decision after a hardware abort and never falls back to the
+     *  lock, so a thread whose attempts keep aborting retries forever
+     *  (a liveness violation the liveness oracle must catch). */
     stuckRetry,
     /** Hybrid-backend subscription bug: a software commit's write-back
      *  skips both the per-address dooming of conflicting hardware
@@ -216,8 +217,8 @@ struct RuntimeConfig
 
     /** Hybrid-backend knobs (stm.hh): subscription mode, software
      *  retry budget, orec-table geometry, cost model. Read only when
-     *  backend == BackendKind::hybrid, but the engine state it sizes
-     *  is allocated unconditionally (determinism contract). */
+     *  backend == BackendKind::hybrid; the orec table it sizes is
+     *  allocated only when the software path is enabled. */
     HybridRuntimeConfig hybrid;
 
     /** Deterministic hazard injection (hazard.hh). Off by default;
@@ -281,7 +282,7 @@ class Runtime
     Runtime& operator=(const Runtime&) = delete;
 
     /**
-     * Execute @p body atomically via the configured backend: by
+     * Execute @p body atomically as the configured backend says: by
      * default transactionally with retries, then irrevocably under the
      * global lock (best-effort HTM + fallback). The body may run many
      * times; it must be idempotent apart from its Tx-mediated effects.
@@ -301,10 +302,10 @@ class Runtime
         bindSite(ctx.id(), site);
         FunctionRef<void(Tx&)> ref(body);
         // Section latency: begin-of-first-attempt (including any
-        // lemming wait inside the backend) to commit, in virtual
+        // lemming wait inside the driver) to commit, in virtual
         // cycles. Observation only — nothing here advances the clock.
         const Cycles start = ctx.now();
-        backend_->runAtomic(*this, ctx, ref);
+        runSection(ctx, ref);
         TxStats& stats = stats_[ctx.id()];
         const std::uint64_t latency = ctx.now() - start;
         ++stats.sections;
@@ -530,7 +531,7 @@ class Runtime
     const RuntimeConfig& config() const { return config_; }
     const MachineConfig& machine() const { return config_.machine; }
 
-    /** The execution backend atomic() dispatches to. */
+    /** The execution backend atomic() runs as. */
     BackendKind backendKind() const { return config_.backend; }
 
     /** Conflict-detection granularity in effect (mode-dependent on
@@ -611,7 +612,17 @@ class Runtime
 
   private:
     friend class Tx;
-    friend class TmBackend;
+
+    /**
+     * The retry driver behind atomic(): Figure 1 with the policy layer
+     * supplying the decisions. globalLock runs the section irrevocably;
+     * every other backend makes hardware attempts through the thread's
+     * HybridRetryPolicy, which (with the software path on) routes
+     * persistent and exhausted sections to software attempts before
+     * the lock.
+     */
+    void runSection(sim::ThreadContext& ctx,
+                    FunctionRef<void(Tx&)> body);
 
     AbortCause runPolicyAttempts(sim::ThreadContext& ctx,
                                  RetryPolicy& policy,
@@ -769,7 +780,11 @@ class Runtime
     /** The conflict directory (see ConflictLineState). */
     FlatTable<ConflictLineState, 64> directory_;
     std::unique_ptr<CapacityModel> capacityModel_;
-    std::unique_ptr<TmBackend> backend_;
+    /** One base retry policy per thread (policies carry cross-section
+     *  state), and the hybrid decision wrapper bound over each. Both
+     *  empty for the lock-only backend, which never consults them. */
+    std::vector<std::unique_ptr<RetryPolicy>> policies_;
+    std::vector<HybridRetryPolicy> hybrids_;
     std::vector<std::unique_ptr<Tx>> txs_;
     std::vector<TxStats> stats_;
     TraceCollector trace_;
@@ -780,9 +795,9 @@ class Runtime
      *  sequence; every hot-path hook is gated on hazard_.enabled(). */
     HazardInjector hazard_;
 
-    /** Software-TM engine (stm.hh). Embedded by value and sized
-     *  unconditionally, like hazard_: selecting the hybrid backend
-     *  changes no allocation sequence. */
+    /** Software-TM engine (stm.hh). Embedded by value; its orec table
+     *  is allocated only when stmEnabled_ is set, so runs without the
+     *  software path make no allocation for it. */
     StmEngine stm_;
 
     /** The single-memory-word global fallback lock (Section 3). */

@@ -20,13 +20,13 @@
  *    begin, so any software commit dooms them through the conflict
  *    directory) or lazily (snapshot at begin, compare at commit).
  *
- * Determinism contract (same discipline as hazard.hh): the engine is
- * embedded by value in the Runtime and its state is allocated
- * unconditionally for every backend, so selecting backend=hybrid
- * changes no allocation sequence. With RuntimeConfig::hybrid
- * .stmEnabled=false every hook is gated off and a hybrid run is
- * byte-identical to backend=htm (proven by the forked A/B test in
- * tests/test_hybrid.cc). Orec versions are bookkeeping, not timing:
+ * Determinism contract: the engine is embedded by value in the
+ * Runtime, but its orec table is allocated only when the software path
+ * is enabled (backend=hybrid with stmEnabled), so every other run keeps
+ * the allocation sequence of a build without the hybrid layer. With
+ * RuntimeConfig::hybrid.stmEnabled=false every hook is gated off and a
+ * hybrid run is byte-identical to backend=htm (proven by the forked
+ * A/B test in tests/test_hybrid.cc). Orec versions are bookkeeping, not timing:
  * bumping one never advances a virtual clock or draws randomness.
  */
 

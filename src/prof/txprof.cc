@@ -20,10 +20,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "bench/suite.hh"
+#include "htm/backend.hh"
 #include "prof/profiler.hh"
 #include "prof/report.hh"
 
@@ -259,22 +261,16 @@ main(int argc, char** argv)
         }
     }
 
-    htm::BackendKind backend;
-    if (backend_name == "htm") {
-        backend = htm::BackendKind::htm;
-    } else if (backend_name == "lock") {
-        backend = htm::BackendKind::globalLock;
-    } else if (backend_name == "ideal") {
-        backend = htm::BackendKind::idealHtm;
-    } else if (backend_name == "hybrid") {
-        backend = htm::BackendKind::hybrid;
-    } else {
+    const std::optional<htm::BackendKind> parsed =
+        htm::parseBackendKind(backend_name);
+    if (!parsed) {
         std::fprintf(stderr,
                      "unknown backend '%s' (use "
                      "htm|lock|ideal|hybrid)\n",
                      backend_name.c_str());
         return 1;
     }
+    const htm::BackendKind backend = *parsed;
 
     int machine_index = -1;
     const char* labels[] = {"bg", "z12", "ic", "p8"};

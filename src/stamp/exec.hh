@@ -93,26 +93,24 @@ class TmExec
  * HLE executor (Intel): every atomic section elides one global lock —
  * a single hardware attempt, then the section re-runs with the lock
  * held. No retry tuning is possible, which is exactly what Figure 7
- * measures against tuned RTM.
+ * measures against tuned RTM. Everything but atomic() is TmExec's
+ * (kernels are templates over Exec, so name hiding suffices).
  */
-class HleExec
+class HleExec : public TmExec
 {
   public:
     HleExec(htm::Runtime& runtime, htm::HleLock& lock,
             sim::ThreadContext& ctx, sim::Barrier& barrier,
             unsigned num_threads)
-        : runtime_(&runtime), lock_(&lock), ctx_(&ctx),
-          barrier_(&barrier), numThreads_(num_threads)
+        : TmExec(runtime, ctx, barrier, num_threads), lock_(&lock)
     {
     }
-
-    static constexpr bool isSequential = false;
 
     template <typename F>
     void
     atomic(F&& body)
     {
-        lock_->execute(*runtime_, *ctx_, std::forward<F>(body));
+        lock_->execute(runtime(), ctx(), std::forward<F>(body));
     }
 
     /** atomic() tagged with a static site id (txprof attribution). */
@@ -120,44 +118,11 @@ class HleExec
     void
     atomic(htm::TxSiteId site, F&& body)
     {
-        lock_->execute(*runtime_, *ctx_, site, std::forward<F>(body));
+        lock_->execute(runtime(), ctx(), site, std::forward<F>(body));
     }
-
-    void barrier() { barrier_->arrive(*ctx_); }
-    void work(sim::Cycles cycles) { ctx_->step(cycles); }
-
-    template <typename T>
-    T
-    sharedLoad(const T* addr)
-    {
-        return runtime_->nonTxLoad(*ctx_, addr);
-    }
-
-    template <typename T>
-    void
-    sharedStore(T* addr, T value)
-    {
-        runtime_->nonTxStore(*ctx_, addr, value);
-    }
-
-    template <typename T>
-    T
-    fetchAdd(T* addr, T delta)
-    {
-        return runtime_->nonTxFetchAdd(*ctx_, addr, delta);
-    }
-
-    unsigned tid() const { return ctx_->id(); }
-    unsigned numThreads() const { return numThreads_; }
-    sim::ThreadContext& ctx() { return *ctx_; }
-    sim::Rng& rng() { return ctx_->rng(); }
 
   private:
-    htm::Runtime* runtime_;
     htm::HleLock* lock_;
-    sim::ThreadContext* ctx_;
-    sim::Barrier* barrier_;
-    unsigned numThreads_;
 };
 
 /** Sequential baseline executor: atomic sections run inline. */

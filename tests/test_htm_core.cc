@@ -373,6 +373,102 @@ TEST(HtmRetry, FallsBackToLockAndStaysCorrect)
     EXPECT_GT(stats.serializationRatio(), 0.99);
 }
 
+/** Counts attempt begins (hardware or software). */
+struct BeginCounter : TxObserver
+{
+    std::uint64_t begins = 0;
+
+    void
+    onEvent(const TxEvent& event) override
+    {
+        if (event.kind == TxEventKind::begin)
+            ++begins;
+    }
+};
+
+struct RoutingResult
+{
+    TxStats stats;
+    std::uint64_t begins = 0;
+};
+
+/**
+ * One atomic section under @p backend on Intel that stores 9 lines
+ * into one L1 set: one line over the 8-way store set, so every real
+ * hardware attempt aborts for capacity (a way conflict).
+ */
+RoutingResult
+runOverCapacitySection(BackendKind backend)
+{
+    RuntimeConfig config = quietConfig(MachineConfig::intelCore());
+    config.backend = backend;
+    BeginCounter counter;
+    config.observer = &counter;
+    sim::Scheduler scheduler;
+    Runtime runtime(config, 1);
+    constexpr std::size_t stride_words = 64 * 64 / 8; // sets * line / 8
+    std::vector<std::uint64_t> data(stride_words * 9 + 8, 0);
+    scheduler.spawn([&](sim::ThreadContext& ctx) {
+        runtime.atomic(ctx, [&](Tx& tx) {
+            for (std::size_t i = 0; i < 9; ++i) {
+                std::uint64_t* word = &data[i * stride_words];
+                tx.store(word, tx.load(word) + 1);
+            }
+        });
+    });
+    scheduler.run();
+    for (std::size_t i = 0; i < 9; ++i)
+        EXPECT_EQ(data[i * stride_words], 1u);
+    return {runtime.stats(), counter.begins};
+}
+
+std::uint64_t
+capacityAborts(const TxStats& stats)
+{
+    return stats.reportedAborts[std::size_t(
+        AbortCategory::capacityOverflow)];
+}
+
+TEST(BackendRouting, HtmFallsBackToLockAfterCapacityAbort)
+{
+    const RoutingResult run = runOverCapacitySection(BackendKind::htm);
+    EXPECT_GE(capacityAborts(run.stats), 1u);
+    EXPECT_EQ(run.stats.htmCommits, 0u);
+    EXPECT_EQ(run.stats.stmCommits, 0u);
+    EXPECT_EQ(run.stats.irrevocableCommits, 1u);
+    EXPECT_EQ(run.stats.sections, 1u);
+}
+
+TEST(BackendRouting, IdealHtmCommitsWithoutCapacityAbort)
+{
+    const RoutingResult run =
+        runOverCapacitySection(BackendKind::idealHtm);
+    EXPECT_EQ(capacityAborts(run.stats), 0u);
+    EXPECT_EQ(run.stats.htmCommits, 1u);
+    EXPECT_EQ(run.stats.irrevocableCommits, 0u);
+    EXPECT_EQ(run.begins, 1u);
+}
+
+TEST(BackendRouting, GlobalLockNeverSpeculates)
+{
+    const RoutingResult run =
+        runOverCapacitySection(BackendKind::globalLock);
+    EXPECT_EQ(run.begins, 0u);
+    EXPECT_EQ(run.stats.totalAborts(), 0u);
+    EXPECT_EQ(run.stats.htmCommits, 0u);
+    EXPECT_EQ(run.stats.irrevocableCommits, run.stats.sections);
+    EXPECT_EQ(run.stats.sections, 1u);
+}
+
+TEST(BackendRouting, HybridCommitsInSoftwareAfterCapacityAbort)
+{
+    const RoutingResult run = runOverCapacitySection(BackendKind::hybrid);
+    EXPECT_GE(capacityAborts(run.stats), 1u);
+    EXPECT_EQ(run.stats.htmCommits, 0u);
+    EXPECT_EQ(run.stats.stmCommits, 1u);
+    EXPECT_EQ(run.stats.irrevocableCommits, 0u);
+}
+
 TEST(HtmRetry, LockSubscriptionAbortsRunningTx)
 {
     // While thread 0 is mid-transaction, thread 1 acquires the global

@@ -1,6 +1,7 @@
 /**
  * @file
- * Hybrid backend tests (src/htm/stm.hh, backend.hh HybridBackend).
+ * Hybrid backend tests (src/htm/stm.hh, Runtime::runSection's
+ * software tier).
  *
  * Three properties carry the layer:
  *
