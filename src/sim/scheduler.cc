@@ -31,18 +31,24 @@ ThreadContext::yieldNow()
 }
 
 void
+ThreadContext::park(SpinWait& wait)
+{
+    scheduler_->threads_[id_]->wait = &wait;
+    scheduler_->slots_[id_].parked = true;
+}
+
+void
 ThreadContext::block()
 {
     Scheduler& s = *scheduler_;
     s.threads_[id_]->state = Scheduler::State::blocked;
-    if (s.queue_.empty()) {
+    if (s.queueEmpty()) {
         // Nothing runnable: return to the owner loop, which declares
         // deadlock (or finishes the run if everyone is done).
         Fiber::yieldToOwner();
         return;
     }
-    const unsigned next = s.dispatchRoot();
-    Fiber::switchTo(*s.threads_[next]->fiber);
+    s.switchTo(s.probeParked(s.dispatchMin()));
 }
 
 Scheduler::Scheduler(std::uint64_t seed) : seed_(seed) {}
@@ -77,7 +83,7 @@ Scheduler::spawn(std::function<void(ThreadContext&)> body)
     thread->fiber =
         std::make_unique<Fiber>(Fiber::DeferStack{}, std::move(wrapped));
     threads_.push_back(std::move(thread));
-    slots_.push_back(SlotRec{never, 0, 0, kNone});
+    slots_.push_back(SlotRec{never, 0, 0, kNone, false});
     enqueue(tid, 0);
     return tid;
 }
@@ -110,8 +116,9 @@ Scheduler::run()
 {
     provisionStacks();
     running_ = true;
-    while (!queue_.empty()) {
-        const unsigned next = dispatchRoot();
+    while (!queueEmpty()) {
+        const unsigned next = probeParked(dispatchMin());
+        ensureStack(next);
         threads_[next]->fiber->resume();
         // Control is back at the owner: the fiber that ran last (not
         // necessarily `next` — threads switch among themselves)
@@ -120,7 +127,6 @@ Scheduler::run()
         if (last.fiber->finished()) {
             last.fiber->rethrowPending();
             last.state = State::finished;
-            last.finishTime = last.context.now();
             // Pooled stacks go back to the kernel as soon as their
             // fiber is done — peak residency tracks *live* fibers.
             if (stackPolicy_ == StackPolicy::pooled)
@@ -158,28 +164,33 @@ Cycles
 Scheduler::makespan() const
 {
     Cycles result = 0;
-    for (const auto& thread : threads_)
-        result = std::max(result, thread->finishTime);
+    for (unsigned tid = 0; tid < numThreads(); ++tid)
+        result = std::max(result, finishTime(tid));
     return result;
 }
 
 Cycles
 Scheduler::finishTime(unsigned tid) const
 {
-    return threads_[tid]->finishTime;
+    // Nothing advances a finished thread's clock.
+    const Thread& thread = *threads_[tid];
+    return thread.state == State::finished ? thread.context.now_ : 0;
 }
 
 Cycles
 Scheduler::totalThreadTime() const
 {
     Cycles result = 0;
-    for (const auto& thread : threads_)
-        result += thread->finishTime;
+    for (unsigned tid = 0; tid < numThreads(); ++tid)
+        result += finishTime(tid);
     return result;
 }
 
-void
-Scheduler::reschedule(ThreadContext& self, bool yield_ties)
+// Inlined into both callers: in reschedule() it is the ordinary
+// switch path of every sync() and yieldNow(), which a call frame of
+// its own measurably slows.
+[[gnu::always_inline]] inline unsigned
+Scheduler::schedulingPoint(ThreadContext& self, bool yield_ties)
 {
     if (perturber_ != nullptr) {
         // Preemption point: a registered perturber may push this
@@ -196,20 +207,57 @@ Scheduler::reschedule(ThreadContext& self, bool yield_ties)
         // threads cannot have moved since dispatch, but the lease is
         // also bounded by the epoch budget, which may have expired.
         grantLease(self.id_, now);
-        return;
+        return self.id_;
     }
-    // Switch to the root: self takes its place in one sift-down. Self's
-    // fresh stamp loses every tie, and the new root — the smallest key
-    // among the threads the dispatched one leaves behind — bounds its
-    // lease.
-    const unsigned next = queue_[0];
-    slots_[next].pos = kNone;
+    // Hand over to the queue minimum, which precedes self's fresh
+    // stamp, and queue self in its place — when both belong to the
+    // heap, in one sift-down from the root. The new minimum — the
+    // smallest key among the threads the dispatched one leaves behind
+    // — bounds its lease.
     SlotRec& slot = slots_[self.id_];
     slot.time = now;
     slot.order = orderCounter_++;
-    siftDownFromRoot(self.id_);
+    unsigned next;
+    if (laneLeads() || laneTakes(self.id_)) {
+        next = popMin();
+        insert(self.id_);
+    } else {
+        next = queue_[0];
+        slots_[next].pos = kNone;
+        siftDownFromRoot(self.id_);
+    }
     dispatch(next, slots_[next].time);
-    Fiber::switchTo(*threads_[next]->fiber);
+    return next;
+}
+
+void
+Scheduler::reschedule(ThreadContext& self, bool yield_ties)
+{
+    unsigned next = schedulingPoint(self, yield_ties);
+    if (slots_[next].parked)
+        next = probeParked(next);
+    if (next != self.id_)
+        switchTo(next);
+}
+
+unsigned
+Scheduler::probeParked(unsigned tid)
+{
+    // Step for step what the parked fiber's spinUntil() loop would do
+    // once switched to, so the schedule, perturber draws and leases
+    // are those of switching to it; only the fiber switch is saved.
+    while (slots_[tid].parked) {
+        Thread& poller = *threads_[tid];
+        ThreadContext::SpinWait& wait = *poller.wait;
+        if (++wait.probes > ThreadContext::spinProbeLimit ||
+            wait.test(wait.pred)) {
+            slots_[tid].parked = false;
+            break;
+        }
+        poller.context.advance(wait.poll);
+        tid = schedulingPoint(poller.context, true);
+    }
+    return tid;
 }
 
 void
@@ -229,29 +277,47 @@ Scheduler::dispatch(unsigned tid, Cycles now)
 {
     runningTid_ = tid;
     grantLease(tid, now);
-    ensureStack(tid);
 }
 
 unsigned
-Scheduler::dispatchRoot()
+Scheduler::dispatchMin()
 {
-    const unsigned root = queue_[0];
-    slots_[root].pos = kNone;
-    const unsigned last = queue_.back();
-    queue_.pop_back();
-    if (!queue_.empty())
-        siftDownFromRoot(last);
-    dispatch(root, slots_[root].time);
-    return root;
+    const unsigned next = popMin();
+    dispatch(next, slots_[next].time);
+    return next;
+}
+
+void
+Scheduler::switchTo(unsigned tid)
+{
+    ensureStack(tid);
+    Fiber::switchTo(*threads_[tid]->fiber);
 }
 
 void
 Scheduler::enqueue(unsigned tid, Cycles time)
 {
     SlotRec& slot = slots_[tid];
-    assert(slot.pos == kNone && "enqueue() of an already-queued thread");
     slot.time = time;
     slot.order = orderCounter_++;
+    insert(tid);
+}
+
+void
+Scheduler::insert(unsigned tid)
+{
+    SlotRec& slot = slots_[tid];
+    assert(slot.pos == kNone && "enqueue() of an already-queued thread");
+    if (laneTakes(tid)) {
+        slot.pos = kLaneEnd;
+        if (laneHead_ == kNone)
+            laneHead_ = tid;
+        else
+            slots_[laneTail_].pos = tid;
+        laneTail_ = tid;
+        return;
+    }
+    const Cycles time = slot.time;
     // The fresh stamp loses every tie: climb past strictly later
     // parents only.
     auto hole = unsigned(queue_.size());
@@ -267,6 +333,25 @@ Scheduler::enqueue(unsigned tid, Cycles time)
     }
     queue_[hole] = tid;
     slot.pos = hole;
+}
+
+unsigned
+Scheduler::popMin()
+{
+    if (laneLeads()) {
+        const unsigned head = laneHead_;
+        SlotRec& slot = slots_[head];
+        laneHead_ = slot.pos == kLaneEnd ? kNone : slot.pos;
+        slot.pos = kNone;
+        return head;
+    }
+    const unsigned root = queue_[0];
+    slots_[root].pos = kNone;
+    const unsigned last = queue_.back();
+    queue_.pop_back();
+    if (!queue_.empty())
+        siftDownFromRoot(last);
+    return root;
 }
 
 void

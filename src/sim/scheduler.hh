@@ -146,20 +146,32 @@ class ThreadContext
 
     /**
      * Spin in virtual time until @p pred returns true, charging
-     * @p poll_cycles per probe. Throws SimError after an enormous
-     * number of probes (virtual livelock / deadlock guard).
+     * @p poll_cycles per probe; every probe is a yielding scheduling
+     * point. Throws SimError after an enormous number of probes
+     * (virtual livelock / deadlock guard).
+     *
+     * While the thread waits it is *parked*: the scheduler evaluates
+     * its later probes itself, on whatever stack is current, instead
+     * of switching to this fiber for each one (DESIGN.md Section 5c).
+     * @p pred must therefore be a pure read of simulated state: it may
+     * not reach a scheduling point (sync, step, yieldNow, block, wake)
+     * and may not throw.
      */
     template <typename Pred>
     void
     spinUntil(Pred pred, Cycles poll_cycles)
     {
-        std::uint64_t probes = 0;
-        while (!pred()) {
-            advance(poll_cycles);
-            yieldNow();
-            if (++probes > spinProbeLimit)
-                throw SimError("spinUntil: virtual livelock detected");
-        }
+        if (pred())
+            return;
+        SpinWait wait{
+            [](void* p) { return bool((*static_cast<Pred*>(p))()); },
+            &pred, poll_cycles, 0};
+        park(wait);
+        advance(poll_cycles);
+        // Returns once a probe saw pred hold or the probe limit pass.
+        yieldNow();
+        if (wait.probes > spinProbeLimit)
+            throw SimError("spinUntil: virtual livelock detected");
     }
 
     /** The scheduler running this thread. */
@@ -170,6 +182,20 @@ class ThreadContext
 
   private:
     friend class Scheduler;
+
+    /** A parked spinUntil() wait, type-erased. It lives in the
+     *  poller's own spinUntil() frame. */
+    struct SpinWait
+    {
+        bool (*test)(void* pred);
+        void* pred;
+        Cycles poll;
+        /** Yields so far; checked against spinProbeLimit. */
+        std::uint64_t probes;
+    };
+
+    /** Mark this thread parked on @p wait until a probe ends it. */
+    void park(SpinWait& wait);
 
     /** Out-of-line sync() tail: lease expired, perturbed, or a switch
      *  is actually due. */
@@ -314,7 +340,8 @@ class Scheduler
         ThreadContext context;
         std::unique_ptr<Fiber> fiber;
         State state = State::runnable;
-        Cycles finishTime = 0;
+        /** The spinUntil() wait; meaningful only while parked. */
+        ThreadContext::SpinWait* wait = nullptr;
     };
 
     /** "No other runnable thread" in lease math. Real clocks never
@@ -327,13 +354,15 @@ class Scheduler
      * enqueue stamp, so the key is unique and ties resolve in enqueue
      * (FIFO) order — a re-enqueued thread is stamped later than every
      * waiting thread and loses all ties. pos is the thread's index in
-     * the heap (kNone while running, blocked or finished). Threads
-     * leave the heap only at the root, so pos is read only by
-     * enqueue()'s double-enqueue assertion. leaseEnd is
+     * the heap, or its successor in the poller lane (kLaneEnd at the
+     * tail); kNone while running, blocked or finished. Threads leave
+     * the queue only at its minimum, so pos is read only by the lane
+     * walk and enqueue()'s double-enqueue assertion. leaseEnd is
      * the sync() fast-path bound of the running thread: scheduling
-     * points with now < leaseEnd are provably no-ops. A queued thread's
-     * clock equals its slot time (nothing advances a frozen clock), so
-     * dispatch never reads the Thread record for it.
+     * points with now < leaseEnd are provably no-ops. parked marks a
+     * thread waiting in spinUntil(), whose probes the scheduler runs.
+     * A queued thread's clock equals its slot time (nothing advances a
+     * frozen clock), so dispatch never reads the Thread record for it.
      *
      * Until simulated addresses stop depending on the host heap, the
      * element sizes of slots_ (32 bytes) and queue_ (4 bytes) are part
@@ -346,7 +375,10 @@ class Scheduler
         std::uint64_t order;
         Cycles leaseEnd;
         unsigned pos;
+        bool parked;
     };
+
+    static constexpr unsigned kLaneEnd = kNone - 1;
 
     /** Run-queue order of queued threads @p a and @p b. */
     bool
@@ -357,21 +389,53 @@ class Scheduler
         return x.time < y.time || (x.time == y.time && x.order < y.order);
     }
 
+    /** No runnable thread besides the running one. */
+    bool queueEmpty() const { return queue_.empty() && laneHead_ == kNone; }
+
+    /** Whether the lane head precedes the heap root (the queue's
+     *  minimum is in the lane). */
+    bool
+    laneLeads() const
+    {
+        return laneHead_ != kNone &&
+               (queue_.empty() || before(laneHead_, queue_[0]));
+    }
+
     /** Smallest queued clock, or `never`: the earliest other runnable
      *  thread's clock from the running thread's point of view. */
     Cycles
     minQueuedTime() const
     {
-        return queue_.empty() ? never : slots_[queue_[0]].time;
+        const Cycles heap = queue_.empty() ? never : slots_[queue_[0]].time;
+        return laneHead_ == kNone ? heap
+                                  : std::min(heap, slots_[laneHead_].time);
     }
 
     /**
-     * Scheduling point of the running thread @p self: consult the
-     * perturber, then switch to the run-queue root if it is strictly
-     * behind self (or level with it when @p yield_ties — an explicit
-     * yield lets equal clocks go first); otherwise renew self's lease.
+     * Scheduling point of the running thread @p self, then the parked
+     * probes it leads to (probeParked()); switch fibers only if the
+     * thread that ends up running is not self.
      */
     void reschedule(ThreadContext& self, bool yield_ties);
+
+    /**
+     * One scheduling point of the running thread @p self: consult the
+     * perturber, then hand over to the queue minimum if it is strictly
+     * behind self (or level with it when @p yield_ties — an explicit
+     * yield lets equal clocks go first), queueing self; otherwise
+     * renew self's lease. @return the thread now running.
+     */
+    unsigned schedulingPoint(ThreadContext& self, bool yield_ties);
+
+    /**
+     * Run the probes of parked threads in place of switching to them:
+     * while the running thread @p tid is parked, replay its next
+     * spinUntil() iteration — count the probe, test the predicate,
+     * advance by the poll period, and take its yielding scheduling
+     * point. Stops, unparking the thread, when the predicate holds or
+     * the probe limit passes. @return the running thread, not parked.
+     */
+    unsigned probeParked(unsigned tid);
 
     /** Set the sync() fast-path bound of the running thread @p tid,
      *  whose clock is @p now. */
@@ -381,11 +445,33 @@ class Scheduler
      *  lease. */
     void dispatch(unsigned tid, Cycles now);
 
-    /** Remove the run-queue root and dispatch it. @return its tid. */
-    unsigned dispatchRoot();
+    /** Remove the queue minimum and dispatch it. @return its tid. */
+    unsigned dispatchMin();
+
+    /** Switch from the current fiber to thread @p tid's. */
+    void switchTo(unsigned tid);
 
     /** Put @p tid on the run queue at @p time (fresh order stamp). */
     void enqueue(unsigned tid, Cycles time);
+
+    /** Queue @p tid, key already set: in the lane if laneTakes() it,
+     *  otherwise in the heap. */
+    void insert(unsigned tid);
+
+    /** Whether queued thread @p tid (key already set) may join the
+     *  lane: only a parked thread, and only at or after the tail's
+     *  time, which keeps the lane sorted. */
+    bool
+    laneTakes(unsigned tid) const
+    {
+        return slots_[tid].parked &&
+               (laneHead_ == kNone ||
+                slots_[laneTail_].time <= slots_[tid].time);
+    }
+
+    /** Remove and @return the queue minimum: the lane head or the
+     *  heap root, whichever precedes. */
+    unsigned popMin();
 
     /** Fill the root hole with @p tid (key already set) and restore
      *  heap order. */
@@ -405,13 +491,23 @@ class Scheduler
     bool batching_ = true;
     Cycles epochCycles_ = defaultEpochCycles;
     StackPolicy stackPolicy_ = defaultStackPolicy_;
-    std::size_t stackBytes_ = Fiber::defaultStackBytes;
     unsigned rangeBase_ = kNone;
+    std::size_t stackBytes_ = Fiber::defaultStackBytes;
     std::vector<std::unique_ptr<Thread>> threads_;
     std::vector<SlotRec> slots_;
-    /** The run queue: a binary min-heap of tids by slot (time, order)
-     *  holding every runnable thread except the running one. */
+    /**
+     * The run queue holds every runnable thread except the running
+     * one, split in two. queue_ is a binary min-heap of tids by slot
+     * (time, order). The poller lane is a FIFO of queued parked
+     * threads linked through SlotRec::pos, sorted by (time, order)
+     * because a thread joins only at or after the tail's time (its
+     * fresh stamp orders it last). A re-queued poller's key is almost
+     * always the largest queued, so the lane spares it a sift to a
+     * heap leaf.
+     */
     std::vector<unsigned> queue_;
+    unsigned laneHead_ = kNone;
+    unsigned laneTail_ = kNone;
     unsigned runningTid_ = 0;
     bool running_ = false;
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -352,6 +353,146 @@ TEST(Scheduler, RunQueueOrderAtScalePinned)
     EXPECT_EQ(batched_perturber.points, unbatched_perturber.points);
     EXPECT_EQ(hashLog(perturbed), kPerturbedDigest);
     EXPECT_EQ(hashLog(batched_perturber.points), kPointsDigest);
+}
+
+namespace
+{
+/**
+ * 256 threads over two rounds contend for one test-and-set lock word,
+ * polled with spinUntil() at 30 cycles: holders keep it for unequal
+ * numbers of unequal steps, every eighth thread runs at time scale 2
+ * (its 60-cycle polls fall behind the 30-cycle pollers' keys, so its
+ * re-queues take the heap), and thread 0 first spins on a gate that a
+ * thread fresh from a Barrier block/wake opens — that thread blocks
+ * while pollers are queued, so block() hands over to a parked thread.
+ * Returns the (tid, clock) log of every probe, acquisition, release
+ * and finish, so the order among equal clocks is visible.
+ */
+std::vector<std::pair<unsigned, Cycles>>
+runSpinPoll(bool batch, SchedulePerturber* perturber)
+{
+    constexpr unsigned kThreads = 256;
+    constexpr unsigned kRounds = 2;
+    std::vector<std::pair<unsigned, Cycles>> log;
+    Scheduler scheduler(13);
+    scheduler.setBatching(batch);
+    Barrier barrier(2);
+    bool locked = false;
+    bool gate = false;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        scheduler.spawn([&](ThreadContext& ctx) {
+            const unsigned tid = ctx.id();
+            if (tid % 8 == 5)
+                ctx.setTimeScale(2.0);
+            if (tid == 0) {
+                ctx.spinUntil(
+                    [&] {
+                        log.push_back({tid, ctx.now()});
+                        return gate;
+                    },
+                    30);
+            } else if (tid == 1 || tid == 2) {
+                // Thread 1 arrives first and blocks; thread 2 wakes it.
+                ctx.step(tid == 1 ? 400 : 3000);
+                barrier.arrive(ctx);
+                if (tid == 1)
+                    gate = true;
+            }
+            log.push_back({tid, ctx.now()});
+            for (unsigned round = 0; round < kRounds; ++round) {
+                ctx.step(1 + ctx.rng().nextRange(300));
+                if (locked) {
+                    ctx.spinUntil(
+                        [&] {
+                            log.push_back({tid, ctx.now()});
+                            return !locked;
+                        },
+                        30);
+                }
+                locked = true;
+                log.push_back({tid, ctx.now()});
+                for (unsigned k = 0; k < 1 + tid % 4; ++k)
+                    ctx.step(5 + ctx.rng().nextRange(16u << (tid % 3)));
+                locked = false;
+                log.push_back({tid, ctx.now()});
+            }
+        });
+    }
+    scheduler.setPerturber(perturber);
+    scheduler.run();
+    scheduler.setPerturber(nullptr);
+    log.push_back({kThreads, scheduler.makespan()});
+    return log;
+}
+} // namespace
+
+TEST(Scheduler, SpinPollOrderPinned)
+{
+    // The pinned digests were produced by the scheduler that switched
+    // to every poller's fiber for each probe and kept all queued
+    // threads in one heap; running probes in place and the poller
+    // lane must reproduce every probe, pick and lease.
+    constexpr std::uint64_t kPlainDigest = 6795157881479428782ull;
+    constexpr std::uint64_t kPerturbedDigest = 7442172902756233066ull;
+    constexpr std::uint64_t kPointsDigest = 14950751156871396170ull;
+
+    const auto batched = runSpinPoll(true, nullptr);
+    ASSERT_GT(batched.size(), 100000u);
+    EXPECT_EQ(batched, runSpinPoll(false, nullptr));
+    EXPECT_EQ(hashLog(batched), kPlainDigest);
+
+    RecordingPerturber batched_perturber(true);
+    RecordingPerturber unbatched_perturber(true);
+    const auto perturbed = runSpinPoll(true, &batched_perturber);
+    EXPECT_EQ(perturbed, runSpinPoll(false, &unbatched_perturber));
+    EXPECT_EQ(batched_perturber.points, unbatched_perturber.points);
+    EXPECT_EQ(hashLog(perturbed), kPerturbedDigest);
+    EXPECT_EQ(hashLog(batched_perturber.points), kPointsDigest);
+}
+
+namespace
+{
+/// Run @p scheduler, whose thread 0 spins on a predicate that never
+/// holds at one cycle per probe: the guard throws after exactly
+/// spinProbeLimit + 1 probes, from that thread's fiber out of run().
+void
+expectSpinLivelock(Scheduler& scheduler)
+{
+    try {
+        scheduler.run();
+        ADD_FAILURE() << "spinUntil() did not detect the livelock";
+    } catch (const SimError& error) {
+        EXPECT_STREQ(error.what(), "spinUntil: virtual livelock detected");
+    }
+    EXPECT_EQ(scheduler.context(0).now(), ThreadContext::spinProbeLimit + 1);
+}
+
+std::function<void(ThreadContext&)>
+neverTrueSpinner(Cycles poll)
+{
+    return [poll](ThreadContext& ctx) {
+        ctx.spinUntil([] { return false; }, poll);
+    };
+}
+} // namespace
+
+TEST(Scheduler, SpinUntilLivelockGuardAlone)
+{
+    // Alone, every probe is a no-op scheduling point of the spinner.
+    Scheduler scheduler;
+    scheduler.spawn(neverTrueSpinner(1));
+    expectSpinLivelock(scheduler);
+}
+
+TEST(Scheduler, SpinUntilLivelockGuardProbedInline)
+{
+    // Beside a second spinner that polls 1000 times slower, the fast
+    // spinner's probes run on the slow one's stack, and its last probe
+    // hands control back to its own fiber to throw.
+    Scheduler scheduler;
+    scheduler.spawn(neverTrueSpinner(1));
+    scheduler.spawn(neverTrueSpinner(1000));
+    expectSpinLivelock(scheduler);
 }
 
 TEST(Rng, DeterministicStreams)
